@@ -79,98 +79,34 @@ int main() {
   std::printf("\nshape to compare with the paper: HopsFS exceeds HDFS on every operation,\n"
               "read-only ops scale furthest, and each 5-namenode increment adds throughput.\n");
 
-  // --- Handler pool + completion mux ----------------------------------------
+  // --- Handler pool -----------------------------------------------------------
   // Traces are captured on the REAL namenode while 2 x num_handlers
-  // closed-loop clients run behind its bounded handler pool, every handler
-  // transaction sharing the cross-transaction completion mux -- so the
-  // captured windows genuinely merged across transactions (co_scheduled).
-  // The DES then replays those traces on a 5-namenode cluster where a round
-  // trip costs real RTT: throughput climbs with the handler count because
-  // more concurrent handlers merge more flush windows into shared trips.
-  // The per-transaction path (mux off) stays selectable as the baseline.
-  std::printf("\n# Handler pool x completion mux (traces captured under concurrent load,\n"
+  // closed-loop clients run behind its bounded handler pool, then replayed
+  // on a 5-namenode cluster where a round trip costs real RTT. The engine
+  // counters show the concurrency-control pressure at each handler count.
+  std::printf("\n# Handler pool (traces captured under concurrent load,\n"
               "# replayed on a 5-namenode simulated cluster; Spotify mix)\n");
-  std::printf("%-12s %14s %14s %12s %16s\n", "handlers", "mux ops/s", "per-tx ops/s",
-              "co-sched", "cross-tx saved");
+  std::printf("%-12s %14s %14s\n", "handlers", "ops/s", "lock waits");
   for (int handlers : {1, 2, 4, 8}) {
-    auto mux_cap = hops::bench::CaptureUnderHandlerLoad(handlers, /*use_mux=*/true,
-                                                        2 * handlers, 400, 13);
-    auto per_tx_cap = hops::bench::CaptureUnderHandlerLoad(handlers, /*use_mux=*/false,
-                                                           2 * handlers, 400, 13);
-    auto simulate = [&](const wl::TracePools& pools) {
-      wl::OpMix replay = wl::OpMix::Single(wl::OpType::kRead);
-      sim::WorkloadSpec spec;
-      spec.mix = &replay;
-      spec.traces = &pools;
-      // Below namenode-CPU saturation, so the closed loop is latency-bound
-      // and the shared trips show up as throughput (at saturation the NN
-      // stations would cap both paths identically).
-      spec.num_clients = 120;
-      spec.duration_s = 0.08;
-      spec.warmup_s = 0.03;
-      return sim::SimulateHopsFs(sim::HopsTopology{5, 12}, spec, cal).ops_per_sec;
-    };
-    const double mux_ops = simulate(mux_cap.pools);
-    const double per_tx_ops = simulate(per_tx_cap.pools);
-    std::printf("%-12d %14.0f %14.0f %11.1f%% %16llu\n", handlers, mux_ops, per_tx_ops,
-                100.0 * mux_cap.co_scheduled_fraction,
-                static_cast<unsigned long long>(mux_cap.cross_tx_saved));
+    auto cap = hops::bench::CaptureUnderHandlerLoad(handlers, 2 * handlers, 400, 13);
+    wl::OpMix replay = wl::OpMix::Single(wl::OpType::kRead);
+    sim::WorkloadSpec spec;
+    spec.mix = &replay;
+    spec.traces = &cap.pools;
+    // Below namenode-CPU saturation, so the closed loop is latency-bound.
+    spec.num_clients = 120;
+    spec.duration_s = 0.08;
+    spec.warmup_s = 0.03;
+    const double ops = sim::SimulateHopsFs(sim::HopsTopology{5, 12}, spec, cal).ops_per_sec;
+    std::printf("%-12d %14.0f %14llu\n", handlers, ops,
+                static_cast<unsigned long long>(cap.db_stats.lock_waits));
     std::fflush(stdout);
     std::string prefix = "handlers" + std::to_string(handlers) + "_";
-    json.Metric(prefix + "mux_ops_per_sec", mux_ops);
-    json.Metric(prefix + "per_tx_ops_per_sec", per_tx_ops);
-    json.Metric(prefix + "co_scheduled_fraction", mux_cap.co_scheduled_fraction);
+    json.Metric(prefix + "ops_per_sec", ops);
     // Concurrency-control pressure under this handler count: OCC validation
     // conflicts (absorbed by RunTx retries) vs the 2PL lock counters.
-    json.EngineStats(prefix, mux_cap.db_stats);
+    json.EngineStats(prefix, cap.db_stats);
   }
-  std::printf("\nshape: under the mux, throughput grows with num_handlers (merged windows\n"
-              "ride shared trips); the per-transaction baseline stays flat.\n");
-
-  // --- Adaptive gather delay sweep ------------------------------------------
-  // Same capture-under-load setup, mux always on, but the gather-delay
-  // policy pinned on vs off at each handler count. The gather delay holds
-  // the flush door open for a bounded moment so near-simultaneous windows
-  // from sibling handlers merge into one trip. With few handlers there is
-  // rarely a sibling to wait for, so the hold is pure added latency; from
-  // ~4 handlers up the extra merged windows pay for the wait. This sweep
-  // justifies MiniCluster's default-on policy at num_handlers >= 4.
-  std::printf("\n# Adaptive gather delay sweep (mux on; gather policy pinned on vs off)\n");
-  std::printf("%-12s %14s %14s %14s %16s\n", "handlers", "gather ops/s", "no-gather ops/s",
-              "gather waits", "gathered windows");
-  for (int handlers : {1, 2, 4, 8}) {
-    auto on_cap = hops::bench::CaptureUnderHandlerLoad(handlers, /*use_mux=*/true,
-                                                       2 * handlers, 400, 13,
-                                                       /*adaptive_gather=*/true);
-    auto off_cap = hops::bench::CaptureUnderHandlerLoad(handlers, /*use_mux=*/true,
-                                                        2 * handlers, 400, 13,
-                                                        /*adaptive_gather=*/false);
-    auto simulate = [&](const wl::TracePools& pools) {
-      wl::OpMix replay = wl::OpMix::Single(wl::OpType::kRead);
-      sim::WorkloadSpec spec;
-      spec.mix = &replay;
-      spec.traces = &pools;
-      spec.num_clients = 120;
-      spec.duration_s = 0.08;
-      spec.warmup_s = 0.03;
-      return sim::SimulateHopsFs(sim::HopsTopology{5, 12}, spec, cal).ops_per_sec;
-    };
-    const double on_ops = simulate(on_cap.pools);
-    const double off_ops = simulate(off_cap.pools);
-    std::printf("%-12d %14.0f %14.0f %14llu %16llu\n", handlers, on_ops, off_ops,
-                static_cast<unsigned long long>(on_cap.mux_gather_waits),
-                static_cast<unsigned long long>(on_cap.mux_gathered_windows));
-    std::fflush(stdout);
-    std::string prefix = "gather" + std::to_string(handlers) + "_";
-    json.Metric(prefix + "on_ops_per_sec", on_ops);
-    json.Metric(prefix + "off_ops_per_sec", off_ops);
-    json.Metric(prefix + "gather_waits", static_cast<double>(on_cap.mux_gather_waits));
-    json.Metric(prefix + "gathered_windows",
-                static_cast<double>(on_cap.mux_gathered_windows));
-  }
-  std::printf("\nshape: gather-on loses nothing (or a hair) at 1-2 handlers and pulls ahead\n"
-              "from 4 handlers as held doors merge sibling windows -- hence the default-on\n"
-              "threshold at num_handlers >= 4.\n");
 
   // --- Engine ablation: contended create hotspot ----------------------------
   // All threads create files in one shared directory, so every transaction

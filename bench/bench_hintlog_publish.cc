@@ -1,84 +1,48 @@
 // Contended multi-namenode mutation bench for the sharded hint-invalidation
 // log: N namenodes run a bench_table2-style write-heavy mix (rename /
-// rename-back / delete, all of which publish) over disjoint directories, so
-// the ONLY rows any two namenodes could ever contend on are the
-// invalidation log's. Pre-sharding, every rename/delete publish X-locked
-// the one global seq row until commit -- a cluster-wide serialization point
-// on the mutation path. The sharded log gives each publisher its own head
-// row and log partition, and the async publish stage takes even the append
-// latency off the mutation path, so publisher lock waits drop to ~0.
-//
-// Two phases per config:
-//  * free-running: the raw mix; publisher lock waits here are organic
-//    (they need true parallelism, so on a single-core box they may be 0
-//    for both configs -- the stall probe below is the machine-independent
-//    measurement);
-//  * stalled-holder probe: one thread repeatedly holds the legacy global
-//    seq row X-locked for a few milliseconds, the way a preempted, paging
-//    or slow-committing publisher would. The global-seq baseline piles
-//    every namenode's mutation path up behind the holder; the sharded
-//    log's publishers never touch that row, so the probe has no effect.
-//
-// The ablation is config-selectable: `sharded` = hint_publish_async +
-// per-NN partitions only; `global-seq` = synchronous appends that also
-// X-lock the legacy kVarNextHintInvalidationSeq row (the pre-sharding
-// serialization point, reproduced on today's code so everything else is
-// held constant).
+// rename-back, both of which publish) over disjoint directories, so the
+// ONLY rows any two namenodes could ever contend on are the invalidation
+// log's. The sharded log gives each publisher its own head row and log
+// partition, and the async publish stage takes the append latency off the
+// mutation path, so publisher lock waits stay ~0 and bursts coalesce into
+// fewer appends than ops published.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
-#include <thread>
 
 #include "bench_common.h"
 #include "util/thread_pool.h"
 
 namespace {
 
-struct PhaseResult {
+struct RunResult {
   double wall_seconds = 0;
   uint64_t ops = 0;
-  uint64_t lock_waits = 0;      // cluster-wide blocked acquisitions
-  uint64_t prober_acquires = 0; // stall-probe lock attempts (see PublisherWaitsFloor)
-
-  double OpsPerSec() const { return wall_seconds > 0 ? ops / wall_seconds : 0; }
-  // The cluster counter cannot tell a publisher blocked behind the stalled
-  // probe from the probe itself momentarily blocked behind a publisher's
-  // microsecond hold. Subtracting every probe acquisition (each can wait at
-  // most once) bounds the probe's contribution from above, making this a
-  // conservative floor on the PUBLISHER lock waits.
-  uint64_t PublisherWaitsFloor() const {
-    return lock_waits > prober_acquires ? lock_waits - prober_acquires : 0;
-  }
-};
-
-struct RunResult {
-  PhaseResult free_running;
-  PhaseResult stalled;
+  uint64_t lock_waits = 0;  // cluster-wide blocked acquisitions
   uint64_t publish_events = 0;
   uint64_t publish_ops_coalesced = 0;
   uint64_t gc_acked_reaps = 0;
   uint64_t round_trips = 0;
   uint64_t overlapped_round_trips = 0;
-  uint64_t cross_tx_overlapped_round_trips = 0;
+
+  double OpsPerSec() const { return wall_seconds > 0 ? ops / wall_seconds : 0; }
 };
 
-RunResult RunWriteMix(bool sharded, int namenodes, int threads_per_nn, int files) {
+RunResult RunWriteMix(int namenodes, int threads_per_nn, int files) {
   using namespace hops;
   fs::MiniClusterOptions options;
   options.db.num_datanodes = 8;
   options.db.replication = 2;
   options.num_namenodes = namenodes;
   options.num_datanodes = 3;
-  options.fs.hint_publish_async = sharded;
-  options.fs.hint_global_seq_lock = !sharded;
   auto cluster = *fs::MiniCluster::Start(options);
 
-  // Disjoint per-worker directories, pre-populated so the measured phases
-  // are pure mutation-with-publish (the setup's creates also warm each
+  // Disjoint per-worker directories, pre-populated so the measured phase is
+  // pure mutation-with-publish (the setup's creates also warm each
   // namenode's id-chunk allocator, keeping the variables table untouched
-  // during measurement unless the ablation itself locks it).
+  // during measurement).
   for (int n = 0; n < namenodes; ++n) {
     for (int t = 0; t < threads_per_nn; ++t) {
       std::string base = "/w" + std::to_string(n) + "_" + std::to_string(t);
@@ -92,76 +56,39 @@ RunResult RunWriteMix(bool sharded, int namenodes, int threads_per_nn, int files
   }
 
   // Every (rename, rename-back) round publishes twice and leaves the
-  // namespace as it found it, so both phases run the same workload.
-  auto run_phase = [&](bool stall_probe) {
-    cluster->db().ResetStats();
-    ThreadPool pool(namenodes * threads_per_nn);
-    std::atomic<uint64_t> ops{0};
-    std::atomic<bool> workers_done{false};
-    const auto start = std::chrono::steady_clock::now();
-    for (int n = 0; n < namenodes; ++n) {
-      for (int t = 0; t < threads_per_nn; ++t) {
-        pool.Submit([&, n, t] {
-          fs::Namenode& nn = cluster->namenode(n);
-          const std::string base = "/w" + std::to_string(n) + "_" + std::to_string(t);
-          uint64_t done = 0;
-          for (int i = 0; i < files; ++i) {
-            const std::string f = base + "/f" + std::to_string(i);
-            const std::string g = base + "/g" + std::to_string(i);
-            if (!nn.Rename(f, g).ok()) continue;  // publishes src+dst prefixes
-            if (!nn.Rename(g, f).ok()) continue;  // and back
-            done += 2;
-          }
-          ops.fetch_add(done, std::memory_order_relaxed);
-        });
-      }
-    }
-    std::thread prober;
-    std::atomic<uint64_t> prober_acquires{0};
-    if (stall_probe) {
-      prober = std::thread([&] {
-        // A stalled publisher: holds the legacy global seq row X-locked for
-        // 8ms at a time (think preemption or a slow disk flush mid-commit),
-        // with brief gaps. The baseline's publishers must wait it out; the
-        // sharded publishers never ask for this row. Every acquisition is
-        // counted so the probe's own (rare, microsecond) blocked requests
-        // can be bounded out of the reported publisher waits.
-        while (!workers_done.load(std::memory_order_relaxed)) {
-          auto tx = cluster->db().Begin();
-          prober_acquires.fetch_add(1, std::memory_order_relaxed);
-          auto held = tx->Read(cluster->schema().variables,
-                               {fs::kVarNextHintInvalidationSeq},
-                               ndb::LockMode::kExclusive);
-          std::this_thread::sleep_for(std::chrono::milliseconds(8));
-          if (held.ok()) {
-            (void)tx->Commit();
-          } else if (tx->active()) {
-            tx->Abort();
-          }
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  // namespace as it found it.
+  cluster->db().ResetStats();
+  ThreadPool pool(namenodes * threads_per_nn);
+  std::atomic<uint64_t> ops{0};
+  const auto start = std::chrono::steady_clock::now();
+  for (int n = 0; n < namenodes; ++n) {
+    for (int t = 0; t < threads_per_nn; ++t) {
+      pool.Submit([&, n, t] {
+        fs::Namenode& nn = cluster->namenode(n);
+        const std::string base = "/w" + std::to_string(n) + "_" + std::to_string(t);
+        uint64_t done = 0;
+        for (int i = 0; i < files; ++i) {
+          const std::string f = base + "/f" + std::to_string(i);
+          const std::string g = base + "/g" + std::to_string(i);
+          if (!nn.Rename(f, g).ok()) continue;  // publishes src+dst prefixes
+          if (!nn.Rename(g, f).ok()) continue;  // and back
+          done += 2;
         }
+        ops.fetch_add(done, std::memory_order_relaxed);
       });
     }
-    pool.Wait();
-    cluster->FlushHintPublishes();  // async appends are part of the run's work
-    workers_done.store(true, std::memory_order_relaxed);
-    if (prober.joinable()) prober.join();
-    PhaseResult p;
-    p.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    p.ops = ops.load();
-    p.lock_waits = cluster->db().StatsSnapshot().lock_waits;
-    p.prober_acquires = prober_acquires.load();
-    return p;
-  };
+  }
+  pool.Wait();
+  cluster->FlushHintPublishes();  // async appends are part of the run's work
 
   RunResult r;
-  r.free_running = run_phase(/*stall_probe=*/false);
+  r.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  r.ops = ops.load();
   auto db = cluster->db().StatsSnapshot();
+  r.lock_waits = db.lock_waits;
   r.round_trips = db.round_trips;
   r.overlapped_round_trips = db.overlapped_round_trips;
-  r.cross_tx_overlapped_round_trips = db.cross_tx_overlapped_round_trips;
-  r.stalled = run_phase(/*stall_probe=*/true);
   auto hint = cluster->AggregateHintStats();
   r.publish_events = hint.publish_events;
   r.publish_ops_coalesced = hint.publish_ops_coalesced;
@@ -179,67 +106,30 @@ int main() {
   const int threads_per_nn = full ? 3 : 2;
   const int files = full ? 400 : 120;
 
-  std::printf("# Contended multi-NN write mix: sharded hint log vs global-seq baseline\n");
+  std::printf("# Contended multi-NN write mix through the sharded hint log\n");
   std::printf("# %d namenodes x %d mutating threads x %d rename-pair rounds, "
               "disjoint dirs\n\n",
               namenodes, threads_per_nn, files);
 
   hops::bench::BenchJson json("hintlog_publish");
-  std::printf("%-12s %10s %12s | %12s %14s | %10s %10s %12s\n", "config", "ops/s",
-              "lock waits", "stall ops/s", "stall waits", "publishes", "coalesced",
-              "acked reaps");
-  RunResult results[2];
-  const char* labels[2] = {"global-seq", "sharded"};
-  for (int mode = 0; mode < 2; ++mode) {
-    const bool sharded = mode == 1;
-    RunResult r = RunWriteMix(sharded, namenodes, threads_per_nn, files);
-    results[mode] = r;
-    std::printf("%-12s %10.0f %12llu | %12.0f %14llu | %10llu %10llu %12llu\n",
-                labels[mode], r.free_running.OpsPerSec(),
-                static_cast<unsigned long long>(r.free_running.lock_waits),
-                r.stalled.OpsPerSec(),
-                static_cast<unsigned long long>(r.stalled.PublisherWaitsFloor()),
-                static_cast<unsigned long long>(r.publish_events),
-                static_cast<unsigned long long>(r.publish_ops_coalesced),
-                static_cast<unsigned long long>(r.gc_acked_reaps));
-    std::fflush(stdout);
-    std::string prefix = sharded ? "sharded_" : "global_seq_";
-    json.Metric(prefix + "ops_per_sec", r.free_running.OpsPerSec());
-    json.Metric(prefix + "lock_waits", static_cast<double>(r.free_running.lock_waits));
-    json.Metric(prefix + "stall_ops_per_sec", r.stalled.OpsPerSec());
-    json.Metric(prefix + "stall_publisher_lock_waits_floor",
-                static_cast<double>(r.stalled.PublisherWaitsFloor()));
-    json.Metric(prefix + "stall_lock_waits_total",
-                static_cast<double>(r.stalled.lock_waits));
-    json.Metric(prefix + "stall_prober_acquires",
-                static_cast<double>(r.stalled.prober_acquires));
-    json.Metric(prefix + "publish_events", static_cast<double>(r.publish_events));
-    json.Metric(prefix + "publish_ops_coalesced",
-                static_cast<double>(r.publish_ops_coalesced));
-    json.Metric(prefix + "gc_acked_reaps", static_cast<double>(r.gc_acked_reaps));
-    json.Metric(prefix + "round_trips", static_cast<double>(r.round_trips));
-    json.Metric(prefix + "overlapped_round_trips",
-                static_cast<double>(r.overlapped_round_trips));
-  }
+  std::printf("%10s %12s | %10s %10s %12s\n", "ops/s", "lock waits", "publishes",
+              "coalesced", "acked reaps");
+  RunResult r = RunWriteMix(namenodes, threads_per_nn, files);
+  std::printf("%10.0f %12llu | %10llu %10llu %12llu\n", r.OpsPerSec(),
+              static_cast<unsigned long long>(r.lock_waits),
+              static_cast<unsigned long long>(r.publish_events),
+              static_cast<unsigned long long>(r.publish_ops_coalesced),
+              static_cast<unsigned long long>(r.gc_acked_reaps));
+  json.Metric("sharded_ops_per_sec", r.OpsPerSec());
+  json.Metric("sharded_lock_waits", static_cast<double>(r.lock_waits));
+  json.Metric("sharded_publish_events", static_cast<double>(r.publish_events));
+  json.Metric("sharded_publish_ops_coalesced", static_cast<double>(r.publish_ops_coalesced));
+  json.Metric("sharded_gc_acked_reaps", static_cast<double>(r.gc_acked_reaps));
+  json.Metric("sharded_round_trips", static_cast<double>(r.round_trips));
+  json.Metric("sharded_overlapped_round_trips", static_cast<double>(r.overlapped_round_trips));
 
-  // Accounting sanity with the coalesced publish path in play: the
-  // cross-transaction share of the overlap can never exceed the overlap.
-  for (const RunResult& r : results) {
-    if (r.cross_tx_overlapped_round_trips > r.overlapped_round_trips) {
-      std::fprintf(stderr, "FAIL: cross-tx overlap exceeds total overlap\n");
-      return 1;
-    }
-  }
-  if (results[1].stalled.lock_waits > 0) {
-    std::printf("\nWARNING: sharded run waited on the stalled probe row (%llu waits) -- "
-                "the publish path should never touch it\n",
-                static_cast<unsigned long long>(results[1].stalled.lock_waits));
-  }
-  std::printf("\nshape: the global-seq baseline serializes every publisher on one row --\n"
-              "a single stalled holder of that row stalls every namenode's mutation path\n"
-              "(stall ops/s collapses, waits pile up). The sharded log's publishers touch\n"
-              "only their own head row + partition: the same stalled row costs them\n"
-              "nothing, free-running waits stay ~0, and the async stage coalesces bursts\n"
+  std::printf("\nshape: publishers touch only their own head row + partition, so\n"
+              "free-running lock waits stay ~0, and the async stage coalesces bursts\n"
               "into fewer appends than ops published.\n");
   return 0;
 }

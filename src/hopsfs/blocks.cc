@@ -6,6 +6,7 @@
 // serialize against file-level operations without touching the inode row.
 #include <algorithm>
 #include <map>
+#include <set>
 #include <unordered_set>
 
 #include "hopsfs/namenode.h"
@@ -317,26 +318,30 @@ hops::Result<int64_t> Namenode::RunReplicationMonitor() {
   return scheduled;
 }
 
-hops::Result<std::vector<BlockId>> Namenode::FetchInvalidations(DatanodeId dn) {
+hops::Result<std::map<DatanodeId, std::vector<BlockId>>> Namenode::FetchInvalidations(
+    const std::vector<DatanodeId>& datanodes) {
   HOPS_RETURN_IF_ERROR(CheckAlive());
-  // Scan and consume the queue in ONE transaction: the batched delete rides
+  // Scan and consume the queues in ONE transaction: the batched delete rides
   // right behind the scan instead of starting a second transaction (which
   // cost a separate lock round trip and 2PC, and could lose commands queued
-  // between the two). A datanode re-fetches on failure, so all-or-nothing
-  // delivery is fine.
-  std::vector<BlockId> blocks;
+  // between the two). The queue is not indexed by datanode, so one scan for
+  // every asking datanode beats one scan each. A datanode re-fetches on
+  // failure, so all-or-nothing delivery is fine.
+  const std::set<DatanodeId> wanted(datanodes.begin(), datanodes.end());
+  std::map<DatanodeId, std::vector<BlockId>> blocks;
   hops::Status st = RunTx(std::nullopt, [&](kv::Txn& tx) -> hops::Status {
     blocks.clear();
     kv::ScanOptions opts;
-    opts.eq_filter = {{col::kReplicaDatanode, kv::Value(static_cast<int64_t>(dn))}};
+    opts.predicate = [&](const kv::Row& row) {
+      return wanted.count(row[col::kReplicaDatanode].i64()) > 0;
+    };
     HOPS_ASSIGN_OR_RETURN(rows, tx.IndexScan(schema_->inv, {}, opts));
     if (rows.empty()) return hops::Status::Ok();
     kv::WriteBatch writes;
-    blocks.reserve(rows.size());
     for (const auto& row : rows) {
       Replica rep = ReplicaFromRow(row);
       writes.DeleteIfExists(schema_->inv, {rep.inode_id, rep.block_id, rep.datanode_id});
-      blocks.push_back(rep.block_id);
+      blocks[rep.datanode_id].push_back(rep.block_id);
     }
     return tx.Execute(writes);
   });

@@ -39,20 +39,11 @@ struct FsConfig {
   int subtree_delete_batch = 64;
   // Threads deleting subtree phase-3 batches in parallel.
   int subtree_parallelism = 4;
-  // Route subtree phase-3 delete row work through the async pipelined batch
-  // engine (in-flight inode probes + per-file fan-outs, one write batch per
-  // delete transaction). Off = the per-row phase-3 path, kept for the
-  // sync-vs-pipelined benchmark comparison. Phase-2 quiesce scans are
-  // always pipelined (there is no per-directory fallback), so an A/B run
-  // isolates exactly the phase-3 delta.
-  bool subtree_pipelined = true;
 
   // Handler threads per namenode (paper §7.1's many-handlers model). Client
   // requests are enqueued and each handler runs one operation's transaction
-  // at a time; all handlers of all namenodes share the database's
-  // cross-transaction completion mux, so their flush windows merge into
-  // overlapped round trips. 0 = no pool: operations run inline on the
-  // calling thread (the pre-handler-pool behavior).
+  // at a time. 0 = no pool: operations run inline on the calling thread (the
+  // pre-handler-pool behavior).
   int num_handlers = 0;
 
   // Heartbeats a namenode may miss before peers consider it dead.
@@ -70,23 +61,13 @@ struct FsConfig {
   // namenodes append publish-event records to the DB-backed, per-namenode
   // sharded hint_invalidations log and every namenode drains all alive
   // peers' partitions on its heartbeat tick, invalidating the affected
-  // prefixes locally. Off = the paper's lazy repair-on-miss only (kept for
-  // the ablation benchmark; correctness never depends on the log, only
-  // round trips do).
+  // prefixes locally. A background publisher thread per namenode does the
+  // appends, coalescing every op that queued while the previous append was
+  // in flight into ONE record, so the mutation path pays an in-memory
+  // enqueue instead of a database round trip. Off = the paper's lazy
+  // repair-on-miss only (kept for the ablation benchmark; correctness never
+  // depends on the log, only round trips do).
   bool hint_proactive_invalidation = true;
-  // Async publish stage: each namenode appends its invalidation records
-  // from a background publisher thread, coalescing every op that queued
-  // while the previous append was in flight into ONE log record -- the
-  // mutation path pays an in-memory enqueue instead of a database round
-  // trip. false = the append runs synchronously on the mutating thread
-  // (the pre-sharding behavior, kept for the latency ablation).
-  bool hint_publish_async = true;
-  // Ablation: X-lock the legacy global kVarNextHintInvalidationSeq
-  // variables row in every publish transaction, reproducing the
-  // pre-sharding design where all publishers serialized on one row. No
-  // live path reads that row; this exists so the contended multi-namenode
-  // write bench can quantify what sharding the log removed.
-  bool hint_global_seq_lock = false;
   // GC fallback: log records older than this are reaped on the leader's
   // heartbeat even when unacked (a drainer that died or stalls forever
   // must not pin the log). Records acked by every alive namenode are
@@ -98,16 +79,15 @@ struct FsConfig {
   // mkdirs and file setattr acknowledge once the op is validated, ordered
   // and DURABLE in the per-namenode op_intents log; the real metadata
   // transaction runs later on the namenode's applier thread through the
-  // normal RunTx/mux machinery. Reads and conflicting mutations on a path
+  // normal RunTx machinery. Reads and conflicting mutations on a path
   // with unapplied intents block until the covering intent applies
   // (read-your-writes per namenode; clients are sticky). Off = every op
   // commits its full transaction before replying (the paper's behavior and
   // the ablation baseline).
   bool async_metadata_commit = false;
   // Max adjacent intents the applier drains as one concurrent window
-  // (intents whose paths are prefix-disjoint apply in parallel and their
-  // transactions merge in the completion mux; same-path intents always
-  // apply in acknowledgment order).
+  // (intents whose paths are prefix-disjoint apply in parallel; same-path
+  // intents always apply in acknowledgment order).
   int intent_apply_batch = 8;
   // Upper bound a blocked reader waits for a covering intent to apply
   // before proceeding against the committed state (a wedged applier must

@@ -24,8 +24,7 @@ bool PrefixRelated(const std::string& a, const std::string& b) {
 }
 
 // "/a/b/c" -> "/a/b". Mutations X-lock the parent inode, so two in-flight
-// applies under one parent would only defer-and-retry each other in the
-// mux's lock pass -- pure overhead on the shared completion thread.
+// applies under one parent would only queue on each other's row lock.
 std::string_view ParentOf(const std::string& path) {
   const size_t pos = path.rfind('/');
   if (pos == std::string::npos || pos == 0) return std::string_view("/");
@@ -213,8 +212,12 @@ void IntentLog::WaitCovering(const std::string& path) const {
   std::unique_lock<std::mutex> lock(mu_);
   if (stop_ || abandoned_ || !CoveredLocked(path)) return;
   covering_waits_.fetch_add(1, std::memory_order_relaxed);
-  cv_.wait_for(lock, config_->intent_wait_timeout,
-               [&] { return stop_ || abandoned_ || !CoveredLocked(path); });
+  if (!cv_.wait_for(lock, config_->intent_wait_timeout,
+                    [&] { return stop_ || abandoned_ || !CoveredLocked(path); })) {
+    // Still covered: the caller goes on to read committed state that may
+    // not yet reflect an acknowledged op.
+    covering_wait_timeouts_.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 void IntentLog::Flush() {
@@ -344,11 +347,6 @@ hops::Status IntentLog::AppendBatchTx(std::vector<std::shared_ptr<AppendWaiter>>
   for (int attempt = 0; attempt < 8; ++attempt) {
     auto tx = db_->Begin(kv::TxHint{schema_->intent_heads, static_cast<uint64_t>(self_)});
     if (sink) tx->EnableTrace();
-    // The append IS the acknowledgment: flush solo rather than queue in the
-    // completion mux behind apply/handler throughput work. Its only lock is
-    // our own head row, which nothing outside this (appending_-serialized)
-    // path X-locks while the namenode is alive.
-    tx->SetLatencySensitive(true);
     // Allocate the seq range under the X lock on OUR OWN head row (a failed
     // locked read still locks the key slot, guarding the first insert):
     // per-namenode sequence order equals commit order by construction, and
@@ -562,11 +560,6 @@ void IntentLog::DeleteIntentRows(const std::vector<IntentRecord>& recs) {
       tx->EnableTrace();
       tx->SetBackground(true);
     }
-    // Applied rows are touched by nobody but us (an adopter only sweeps dead
-    // namenodes), so run the delete solo on this thread rather than taxing
-    // the shared completion loop with it -- the mux's cycles belong to the
-    // apply transactions racing the drain.
-    tx->SetLatencySensitive(true);
     hops::Status st;
     for (const auto& rec : recs) {
       st = tx->Delete(schema_->op_intents, {rec.nn, rec.seq});
@@ -595,6 +588,7 @@ IntentLogStats IntentLog::stats() const {
   s.ack_latency_us = ack_latency_us_.load(std::memory_order_relaxed);
   s.apply_latency_us = apply_latency_us_.load(std::memory_order_relaxed);
   s.covering_waits = covering_waits_.load(std::memory_order_relaxed);
+  s.covering_wait_timeouts = covering_wait_timeouts_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -96,6 +96,9 @@ struct IntentLogStats {
   uint64_t ack_latency_us = 0;    // submit -> durable in the log, summed
   uint64_t apply_latency_us = 0;  // submit -> apply commit, summed
   uint64_t covering_waits = 0;    // WaitCovering calls that actually blocked
+  // WaitCovering calls that gave up after intent_wait_timeout with the path
+  // still covered, so the reader saw committed state that may be stale.
+  uint64_t covering_wait_timeouts = 0;
 };
 
 class IntentLog {
@@ -292,7 +295,7 @@ class IntentLog {
   std::atomic<uint64_t> appended_{0}, applied_{0}, coalesced_{0},
       apply_failures_{0}, acked_ops_{0}, ack_latency_us_{0}, apply_latency_us_{0};
   // Bumped from const WaitCovering.
-  mutable std::atomic<uint64_t> covering_waits_{0};
+  mutable std::atomic<uint64_t> covering_waits_{0}, covering_wait_timeouts_{0};
 };
 
 }  // namespace hops::fs

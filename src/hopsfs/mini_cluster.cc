@@ -8,8 +8,8 @@ namespace {
 
 // Fail-fast validation of the combined engine + filesystem knob set. Every
 // rejected combination here either crashed an assert deep in the engine or
-// silently misbehaved (a mux gather delay with no mux, a zero-wide pipeline
-// window); surfacing them at construction names the knob instead.
+// silently misbehaved (a zero-wide pipeline window); surfacing them at
+// construction names the knob instead.
 hops::Status ValidateOptions(const MiniClusterOptions& o) {
   if (o.db.num_datanodes == 0) {
     return hops::Status::InvalidArgument("db.num_datanodes must be > 0");
@@ -25,11 +25,6 @@ hops::Status ValidateOptions(const MiniClusterOptions& o) {
   if (o.db.max_in_flight_batches == 0) {
     return hops::Status::InvalidArgument(
         "db.max_in_flight_batches must be > 0 (a zero-wide pipeline window can never flush)");
-  }
-  if (o.db.mux_adaptive_gather && !o.db.mux_adaptive_gather_auto && !o.db.use_completion_mux) {
-    return hops::Status::InvalidArgument(
-        "db.mux_adaptive_gather requires db.use_completion_mux (the gather delay is a "
-        "completion-mux policy)");
   }
   if (o.num_namenodes <= 0) {
     return hops::Status::InvalidArgument("num_namenodes must be > 0");
@@ -84,15 +79,6 @@ hops::Result<std::unique_ptr<MiniCluster>> MiniCluster::Start(MiniClusterOptions
     options.fs.kv_engine = *kind;
   }
   HOPS_RETURN_IF_ERROR(ValidateOptions(options));
-  if (options.db.mux_adaptive_gather_auto) {
-    // Default-on policy for the mux gather delay: with >= 4 handlers per
-    // namenode there is nearly always a trailing window microseconds away
-    // worth waiting for; below that the delay buys nothing and costs idle
-    // wakeups (bench_fig07's gather sweep is the justification). The OCC
-    // engine has no mux, so the policy resolves to off there.
-    options.db.mux_adaptive_gather =
-        options.fs.kv_engine == kv::EngineKind::kNdb && options.fs.num_handlers >= 4;
-  }
   auto db = kv::MakeEngine(options.fs.kv_engine, options.db);
   HOPS_ASSIGN_OR_RETURN(schema, MetadataSchema::Format(*db));
   std::unique_ptr<MiniCluster> cluster(
@@ -114,17 +100,21 @@ hops::Result<std::unique_ptr<MiniCluster>> MiniCluster::Start(MiniClusterOptions
 }
 
 void MiniCluster::InstallDatanodePicker(Namenode& nn) {
-  nn.SetDatanodePicker([this](int count) {
-    std::vector<DatanodeId> targets;
-    size_t n = datanodes_.size();
-    if (n == 0) return targets;
-    for (size_t tried = 0; tried < n && targets.size() < static_cast<size_t>(count);
-         ++tried) {
-      Datanode& dn = *datanodes_[dn_rr_.fetch_add(1, std::memory_order_relaxed) % n];
-      if (dn.alive()) targets.push_back(dn.id());
-    }
-    return targets;
-  });
+  nn.SetDatanodePicker([this](int count) { return PickDatanodes(count); });
+}
+
+std::vector<DatanodeId> MiniCluster::PickDatanodes(int count) {
+  std::vector<DatanodeId> targets;
+  const size_t n = datanodes_.size();
+  if (n == 0) return targets;
+  // One draw per call, then a walk from it: concurrent callers interleaving
+  // per-target draws could hand one call the same datanode twice.
+  const size_t start = dn_rr_.fetch_add(1, std::memory_order_relaxed);
+  for (size_t tried = 0; tried < n && targets.size() < static_cast<size_t>(count); ++tried) {
+    Datanode& dn = *datanodes_[(start + tried) % n];
+    if (dn.alive()) targets.push_back(dn.id());
+  }
+  return targets;
 }
 
 Namenode& MiniCluster::namenode(int i) {
@@ -195,6 +185,7 @@ ClusterIntentStats MiniCluster::AggregateIntentStats() {
     out.log.ack_latency_us += s.ack_latency_us;
     out.log.apply_latency_us += s.apply_latency_us;
     out.log.covering_waits += s.covering_waits;
+    out.log.covering_wait_timeouts += s.covering_wait_timeouts;
     out.intents_adopted += nn.intents_adopted();
   };
   for (auto& nn : namenodes_) {
@@ -267,7 +258,23 @@ hops::Status MiniCluster::RestartNamenodeSameId(int i) {
 void MiniCluster::TickHeartbeats(int rounds) {
   for (int r = 0; r < rounds; ++r) {
     FlushHintPublishes();
-    for (Namenode* nn : AliveNamenodes()) (void)nn->Heartbeat();
+    std::vector<Namenode*> alive = AliveNamenodes();
+    for (Namenode* nn : alive) (void)nn->Heartbeat();
+    // Every alive datanode takes its queued replica invalidations and drops
+    // those blocks (the HDFS heartbeat-command flow). A failed fetch leaves
+    // the queues intact for the next tick; an empty queue skips the fetch
+    // transaction and its table scan.
+    if (alive.empty() || db_->TableRowCount(schema_.inv) == 0) continue;
+    std::vector<DatanodeId> asking;
+    for (auto& dn : datanodes_) {
+      if (dn->alive()) asking.push_back(dn->id());
+    }
+    auto commands = alive.front()->FetchInvalidations(asking);
+    if (!commands.ok()) continue;
+    for (const auto& [id, blocks] : *commands) {
+      Datanode* dn = FindDatanode(id);
+      for (BlockId block : blocks) dn->DropBlock(block);
+    }
   }
 }
 

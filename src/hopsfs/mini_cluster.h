@@ -65,9 +65,6 @@ struct ClusterIntentStats {
 class MiniCluster {
  public:
   // Builds the database, formats the schema, and starts the namenodes.
-  // Resolves ClusterConfig::mux_adaptive_gather_auto here: the gather delay
-  // goes on once the handler pool is wide enough (>= 4 handlers per
-  // namenode) that trailing windows are usually in flight to merge with.
   static hops::Result<std::unique_ptr<MiniCluster>> Start(MiniClusterOptions options);
 
   kv::Engine& db() { return *db_; }
@@ -110,7 +107,8 @@ class MiniCluster {
   // One election round on every alive namenode. Each round first flushes
   // every namenode's pending async hint publishes, so "invalidated within
   // one tick" keeps meaning one call here even with the async publish
-  // stage.
+  // stage. Each round then delivers every alive datanode's queued replica
+  // invalidations, and the datanode drops those blocks.
   void TickHeartbeats(int rounds = 1);
   // Blocks until every alive namenode's queued hint-invalidation publishes
   // are in the log (tests that inspect the log tables directly call this).
@@ -121,6 +119,10 @@ class MiniCluster {
   // Simulates the write pipeline for a located block: every target datanode
   // stores the block and acknowledges it to a namenode.
   hops::Status PipelineWrite(const LocatedBlock& block);
+
+  // Up to `count` distinct alive datanodes, round-robin across calls; every
+  // namenode places new replicas through this.
+  std::vector<DatanodeId> PickDatanodes(int count);
 
  private:
   MiniCluster(MiniClusterOptions options, std::unique_ptr<kv::Engine> db,

@@ -90,7 +90,7 @@ Namenode::Namenode(kv::Engine* db, const MetadataSchema* schema, const FsConfig*
   root_.is_dir = true;
   root_.owner = "hdfs";
   root_.group = "hdfs";
-  if (config->hint_proactive_invalidation && config->hint_publish_async) {
+  if (config->hint_proactive_invalidation) {
     hint_publisher_ = std::thread([this] { HintPublisherLoop(); });
   }
 }
@@ -215,13 +215,6 @@ void Namenode::PublishHintInvalidation(const std::vector<std::string>& prefixes,
   // lazy-repairs, which is always safe).
   if (election_.AliveNamenodes().size() <= 1) return;
   HintPublishEvent event{op, prefixes};
-  if (!config_->hint_publish_async) {
-    // Synchronous ablation path: the mutating thread pays the append.
-    std::vector<HintPublishEvent> events;
-    events.push_back(std::move(event));
-    AppendHintPublishes(std::move(events));
-    return;
-  }
   // Async publish stage: enqueue and return -- the mutation path is done.
   // Every event queued while the publisher thread's current append is in
   // flight coalesces into its next log record.
@@ -285,26 +278,6 @@ void Namenode::AppendHintPublishes(std::vector<HintPublishEvent> events) {
   const std::string paths = EncodeHintPaths(prefixes);
   for (int attempt = 0; attempt < 8; ++attempt) {
     auto tx = db_->Begin(kv::TxHint{schema_->hint_heads, static_cast<uint64_t>(self)});
-    hops::Status st;
-    if (config_->hint_global_seq_lock) {
-      // Ablation: reproduce the pre-sharding global serialization point --
-      // every publisher X-locks this one variables row until commit.
-      auto legacy = tx->Read(schema_->variables, {kVarNextHintInvalidationSeq},
-                             kv::LockMode::kExclusive);
-      if (!legacy.ok()) {
-        if (tx->active()) tx->Abort();
-        if (legacy.status().IsRetryableTx()) continue;
-        return;  // best effort: remote namenodes fall back to lazy repair
-      }
-      st = tx->Update(schema_->variables,
-                      kv::Row{kVarNextHintInvalidationSeq,
-                               (*legacy)[col::kVarValue].i64() + 1});
-      if (!st.ok()) {
-        if (tx->active()) tx->Abort();
-        if (st.IsRetryableTx()) continue;
-        return;
-      }
-    }
     // Allocate the seq under the X lock on OUR OWN head row (a failed
     // locked read still locks the key slot, guarding the first insert), so
     // per-publisher sequence order equals commit order by construction: a
@@ -321,8 +294,8 @@ void Namenode::AppendHintPublishes(std::vector<HintPublishEvent> events) {
     }
     // Monotonic stamp: the GC cutoff must never move backwards under an
     // NTP step (namenodes share a process in this reproduction).
-    st = tx->Insert(schema_->hint_invalidations,
-                    kv::Row{self, seq, op, paths, MonotonicMicros()});
+    hops::Status st = tx->Insert(schema_->hint_invalidations,
+                                 kv::Row{self, seq, op, paths, MonotonicMicros()});
     if (st.ok()) st = tx->Write(schema_->hint_heads, kv::Row{self, seq + 1});
     if (st.ok()) st = tx->Commit();
     if (st.ok()) {
@@ -495,10 +468,8 @@ hops::Status Namenode::RunTx(std::optional<kv::TxHint> hint,
   for (int attempt = 0; attempt < config_->max_tx_retries;) {
     hops::Status st =
         dispatch
-            ? handlers_->Run([&] { return RunTxAttempt(hint, body, want_trace, background,
-                                                       /*latency_sensitive=*/false); })
-            : RunTxAttempt(hint, body, want_trace, background,
-                           /*latency_sensitive=*/inline_read);
+            ? handlers_->Run([&] { return RunTxAttempt(hint, body, want_trace, background); })
+            : RunTxAttempt(hint, body, want_trace, background);
     if (st.ok()) return st;
     if (st.code() == hops::StatusCode::kSubtreeLocked) {
       // An active subtree operation owns part of the path: voluntarily back
@@ -529,12 +500,11 @@ hops::Status Namenode::RunTx(std::optional<kv::TxHint> hint,
 hops::Status Namenode::RunTxAttempt(
     std::optional<kv::TxHint> hint,
     const std::function<hops::Status(kv::Txn&)>& body, bool want_trace,
-    bool background, bool latency_sensitive) {
+    bool background) {
   HOPS_RETURN_IF_ERROR(CheckAlive());
   auto tx = db_->Begin(hint);
   if (want_trace) tx->EnableTrace();
   if (background) tx->SetBackground(true);
-  if (latency_sensitive) tx->SetLatencySensitive(true);
   hops::Status st = body(*tx);
   if (st.ok()) {
     st = tx->Commit();

@@ -215,8 +215,10 @@ class Namenode {
   // Leader housekeeping: schedule re-replication for under-replicated blocks
   // (URB -> PRB + RUC on a fresh datanode). Returns blocks scheduled.
   hops::Result<int64_t> RunReplicationMonitor();
-  // Drains the invalidation queue for a datanode (blocks it must delete).
-  hops::Result<std::vector<BlockId>> FetchInvalidations(DatanodeId dn);
+  // Drains the invalidation queues of `datanodes` in one transaction and
+  // returns, per datanode with queued work, the blocks it must delete.
+  hops::Result<std::map<DatanodeId, std::vector<BlockId>>> FetchInvalidations(
+      const std::vector<DatanodeId>& datanodes);
 
  private:
   friend class SubtreeOperation;
@@ -262,7 +264,7 @@ class Namenode {
   // `inline_read` keeps the transaction on the calling thread even when a
   // handler pool exists: right for lock-free read-committed validation
   // transactions, whose cross-thread dispatch would cost more wall time
-  // than their reads (they gain nothing from the completion mux).
+  // than their reads.
   hops::Status RunTx(std::optional<kv::TxHint> hint,
                      const std::function<hops::Status(kv::Txn&)>& body,
                      bool inline_read = false);
@@ -270,12 +272,9 @@ class Namenode {
   // `background` marks the transaction's cost-trace accesses as intent-apply
   // work (captured at RunTx entry, before the attempt hops onto a handler
   // thread where the applier's thread-local marker is invisible).
-  // `latency_sensitive` flushes solo instead of through the completion mux
-  // (the inline validation reads: queueing behind throughput work would
-  // dominate their cost).
   hops::Status RunTxAttempt(std::optional<kv::TxHint> hint,
                             const std::function<hops::Status(kv::Txn&)>& body,
-                            bool want_trace, bool background, bool latency_sensitive);
+                            bool want_trace, bool background);
 
   // Figure 4 lines 1-6: resolve the path (hint cache + batched read, with
   // recursive fallback), then lock the last component(s) in total order.
@@ -436,7 +435,7 @@ class Namenode {
   // Deletes a file inode's satellite rows (blocks, replicas, life-cycle
   // rows, lease, lookup) and stages datanode-side invalidation.
   hops::Status DeleteFileArtifacts(kv::Txn& tx, const Inode& file);
-  // The two halves of that fan-out, exposed so DeleteBatchPipelined can put
+  // The two halves of that fan-out, exposed so DeleteBatch can put
   // many files' reads in flight together: StageFileArtifactReads stages the
   // satellite scans into `batch`; StageFileArtifactRemovals turns the
   // results into staged deletes + datanode invalidations.
@@ -490,15 +489,10 @@ class Namenode {
   // returns the next level's nodes.
   hops::Result<std::vector<SubtreeNode>> QuiesceLevel(
       const std::vector<const SubtreeNode*>& dirs);
-  // Phase-3 helper for delete: removes one batch of inodes in a transaction.
-  // Dispatches on FsConfig::subtree_pipelined between the pipelined
-  // batch-engine path and the per-row baseline.
+  // Phase-3 helper for delete: removes one batch of inodes in a transaction
+  // through the pipelined batch engine.
   hops::Status DeleteBatch(const std::vector<SubtreeNode>& batch,
                            const std::vector<Inode>& quota_ancestors);
-  hops::Status DeleteBatchPipelined(const std::vector<SubtreeNode>& batch,
-                                    const std::vector<Inode>& quota_ancestors);
-  hops::Status DeleteBatchPerRow(const std::vector<SubtreeNode>& batch,
-                                 const std::vector<Inode>& quota_ancestors);
 
   // Proactive hint invalidation (§5.1 extension), sharded per namenode.
   // PublishHintInvalidation invalidates `prefixes` in the local cache and
@@ -506,8 +500,8 @@ class Namenode {
   // event to this namenode's own log partition -- the record insert and the
   // bump of this namenode's hint_heads row share a transaction whose X lock
   // on that head row makes per-publisher sequence order equal commit order,
-  // without any cross-publisher shared row. With hint_publish_async the
-  // append runs on the publisher thread and every op that queued while the
+  // without any cross-publisher shared row. The append runs on the
+  // publisher thread and every op that queued while the
   // previous append was in flight coalesces into the next record, so the
   // mutation path never pays the append round trip. Runs AFTER the mutation
   // commits: a crash in between merely downgrades remote namenodes to lazy
@@ -519,8 +513,7 @@ class Namenode {
   void PublishHintInvalidation(const std::vector<std::string>& prefixes, SubtreeOp op);
   // Appends one coalesced log record for `events` (retrying transient
   // failures; best effort -- a dropped append downgrades peers to lazy
-  // repair). Runs on the publisher thread, or inline when
-  // hint_publish_async is off.
+  // repair). Runs on the publisher thread.
   void AppendHintPublishes(std::vector<HintPublishEvent> events);
   void HintPublisherLoop();
   // Reads every alive peer's head in one ReadBatch, fetches the records in
@@ -540,10 +533,6 @@ class Namenode {
     return alive_ ? hops::Status::Ok() : hops::Status::Failover("namenode is down");
   }
   NamenodeId id_safe() const;
-  // Deletes an inode row trying both partition rules (rows that crossed the
-  // random-partition boundary in a move keep their insert-time partition).
-  hops::Status DeleteInodeRow(kv::Txn& tx, InodeId parent, const std::string& name,
-                              int depth, bool* existed);
 
   // Single-transaction rename used for files and empty directories; directory
   // renames with children go through SubtreeRename.

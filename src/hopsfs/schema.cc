@@ -250,8 +250,6 @@ hops::Result<MetadataSchema> MetadataSchema::Format(kv::Engine& cluster) {
       tx->Insert(m.variables, kv::Row{kVarNextInodeId, kRootInode + 1}));
   HOPS_RETURN_IF_ERROR(tx->Insert(m.variables, kv::Row{kVarNextBlockId, int64_t{1}}));
   HOPS_RETURN_IF_ERROR(tx->Insert(m.variables, kv::Row{kVarNextNamenodeId, int64_t{1}}));
-  HOPS_RETURN_IF_ERROR(
-      tx->Insert(m.variables, kv::Row{kVarNextHintInvalidationSeq, int64_t{1}}));
   HOPS_RETURN_IF_ERROR(tx->Commit());
   return m;
 }

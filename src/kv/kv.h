@@ -10,8 +10,8 @@
 //
 //  * kv::NdbEngine (ndb_engine.h) -- the NDB-style pessimistic engine:
 //    read-committed isolation plus eagerly acquired shared/exclusive row
-//    locks, deadlock resolution by lock-wait timeout, cross-transaction
-//    completion mux. LockMode is enforced at access time.
+//    locks, deadlock resolution by lock-wait timeout. LockMode is enforced
+//    at access time.
 //  * kv::OccEngine (occ_engine.h) -- an optimistic MVCC engine
 //    (FoundationDB-style): lock modes never block; kShared/kExclusive reads
 //    are recorded in a read set and validated at commit, locking scans are
@@ -65,8 +65,8 @@ using CostTrace = ndb::CostTrace;
 using ClusterStats = ndb::ClusterStats;
 using FaultInjector = ndb::FaultInjector;
 using TxHint = ndb::TxHint;
-// Both backends consume the same knob set; OCC ignores the lock-wait and
-// completion-mux fields (it has neither lock waits nor a mux).
+// Both backends consume the same knob set; OCC ignores the lock-wait field
+// (it has no lock waits).
 using EngineConfig = ndb::ClusterConfig;
 
 // --- Backend selection -------------------------------------------------------
@@ -157,7 +157,6 @@ class Txn {
   virtual void EnableTrace() = 0;
   virtual const CostTrace& trace() const = 0;
   virtual void SetBackground(bool background) = 0;
-  virtual void SetLatencySensitive(bool v) = 0;
 
  protected:
   Txn() = default;

@@ -688,10 +688,12 @@ hops::Status OccTxn::Commit() {
       if (current != obs.version) {
         s.occ_conflicts.fetch_add(1, std::memory_order_relaxed);
         s.occ_key_conflicts.fetch_add(1, std::memory_order_relaxed);
+        // Build the message first: table_id binds into read_set_, which
+        // Abort() clears.
+        hops::Status conflict = hops::Status::Conflict(
+            "validated read of " + engine_->schema(table_id).table_name + " changed before commit");
         Abort();
-        return hops::Status::Conflict("validated read of " +
-                                      engine_->schema(table_id).table_name +
-                                      " changed before commit");
+        return conflict;
       }
     }
     for (const RangeObs& range : range_set_) {
@@ -933,7 +935,7 @@ ClusterStats OccEngine::StatsSnapshot() const {
   s.occ_conflicts = stats_.occ_conflicts.load(std::memory_order_relaxed);
   s.occ_key_conflicts = stats_.occ_key_conflicts.load(std::memory_order_relaxed);
   s.occ_range_conflicts = stats_.occ_range_conflicts.load(std::memory_order_relaxed);
-  // No locks, no mux: lock_timeouts/lock_waits and the mux_* counters stay 0.
+  // No locks: lock_timeouts/lock_waits stay 0.
   return s;
 }
 

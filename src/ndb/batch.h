@@ -83,16 +83,6 @@ class ReadBatch {
   bool empty() const { return ops_.empty(); }
   bool executed() const { return executed_; }
   BatchLockOrder lock_order() const { return lock_order_; }
-  // True if any staged scan locks rows (locking or take-and-release scans
-  // discover their row set during execution, so their lock waits cannot go
-  // through the non-blocking completion-mux lock pass; such windows flush on
-  // the submitting thread instead).
-  bool has_locking_scan() const {
-    for (const auto& op : ops_) {
-      if (op.kind == Op::Kind::kScan && op.opts.lock != LockMode::kReadCommitted) return true;
-    }
-    return false;
-  }
 
   // Result accessors; valid only after a successful Execute (or, on the
   // pipelined path, after the batch's PendingBatch::Wait succeeded).

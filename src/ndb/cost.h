@@ -41,11 +41,8 @@ struct Access {
   AccessKind kind{};
   uint32_t table = 0;
   uint32_t round_trips = 1;
-  // True when this access opens a flush window that rode a round trip paid
-  // by ANOTHER transaction's window in the same completion-mux round: the
-  // trip is shared, so round_trips stays 0, but the access still starts its
-  // own scatter wave. The DES model costs such co-scheduled windows as max,
-  // not sum, of the merged trips.
+  // Always false: only the removed cross-transaction completion mux set it.
+  // Kept because perfbench still reports it (trace.co_scheduled_ratio).
   bool co_scheduled = false;
   // True when this access ran on the asynchronous intent-apply stage rather
   // than on the acknowledged client path: the op was already acknowledged at
@@ -107,28 +104,13 @@ struct ClusterStats {
   // in-flight batches costs one overlapped round-trip window where the
   // synchronous path would have paid N sequential trips, so this counter
   // accumulates N - 1 per flush. `round_trips + overlapped_round_trips` is
-  // the sync-equivalent trip count -- an invariant that holds whether a
-  // window flushed alone or merged with other transactions' windows in a
-  // completion-mux round (a merged round adds its whole saving here exactly
-  // once, never per member). The pipelining win shows up here.
+  // the sync-equivalent trip count. The pipelining win shows up here.
   uint64_t overlapped_round_trips = 0;
-  // The cross-transaction share of the saving: trips that windows from
-  // DIFFERENT transactions would each have paid flushing alone but that one
-  // completion-mux round carried as a single shared trip. Always <=
-  // overlapped_round_trips (which also contains the within-transaction
-  // window overlap).
+  // Always 0: only the removed cross-transaction completion mux counted
+  // these. Kept because perfbench still reports them (mux.* lines).
   uint64_t cross_tx_overlapped_round_trips = 0;
-  // Completion-mux activity: rounds that completed at least one window, and
-  // windows flushed through the mux. windows > rounds means windows from
-  // concurrent transactions actually merged -- windows / rounds is the
-  // merge rate the adaptive gather delay exists to raise.
   uint64_t mux_rounds = 0;
   uint64_t mux_windows = 0;
-  // Adaptive gather (ClusterConfig::mux_adaptive_gather): rounds where the
-  // loop briefly held the door open for more windows because recent rounds
-  // merged, and the extra windows that actually arrived during those waits
-  // (each one is a round trip merged away that an eager flush would have
-  // paid).
   uint64_t mux_gather_waits = 0;
   uint64_t mux_gathered_windows = 0;
   // Optimistic-concurrency engine (kv::OccEngine) only; always 0 under the

@@ -59,36 +59,6 @@ hops::Status Partition::AcquireLock(TxId tx, const std::string& ekey, LockMode m
   return hops::Status::Ok();
 }
 
-bool Partition::TryAcquireLock(TxId tx, const std::string& ekey, LockMode mode) {
-  if (mode == LockMode::kReadCommitted) return true;
-  std::lock_guard<std::mutex> lock(mu_);
-  LockState& ls = locks_[ekey];
-  if (!Grantable(ls, tx, mode)) {
-    if (ls.exclusive == 0 && ls.shared.empty() && ls.waiters == 0) locks_.erase(ekey);
-    return false;
-  }
-  if (mode == LockMode::kExclusive) {
-    ls.shared.erase(std::remove(ls.shared.begin(), ls.shared.end(), tx), ls.shared.end());
-    ls.exclusive = tx;
-  } else if (ls.exclusive != tx &&
-             std::find(ls.shared.begin(), ls.shared.end(), tx) == ls.shared.end()) {
-    ls.shared.push_back(tx);
-  }
-  return true;
-}
-
-void Partition::DowngradeLock(TxId tx, const std::string& ekey) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = locks_.find(ekey);
-  if (it == locks_.end() || it->second.exclusive != tx) return;
-  LockState& ls = it->second;
-  ls.exclusive = 0;
-  if (std::find(ls.shared.begin(), ls.shared.end(), tx) == ls.shared.end()) {
-    ls.shared.push_back(tx);
-  }
-  lock_released_.notify_all();  // other shared requests are grantable now
-}
-
 void Partition::ReleaseLock(TxId tx, const std::string& ekey) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = locks_.find(ekey);

@@ -46,15 +46,6 @@ class Partition {
   hops::Status AcquireLock(TxId tx, const std::string& ekey, LockMode mode,
                            std::chrono::steady_clock::time_point deadline,
                            bool* waited = nullptr);
-  // Grants the lock only if that is possible without waiting; returns false
-  // (leaving the lock table untouched) otherwise. The completion mux uses
-  // this so its shared loop never blocks on a row lock: a window that cannot
-  // lock immediately is deferred and retried instead.
-  bool TryAcquireLock(TxId tx, const std::string& ekey, LockMode mode);
-  // Atomically steps an exclusive lock held by `tx` back down to shared
-  // (deferring mux windows roll back shared->exclusive upgrades this way --
-  // no release/re-acquire gap another transaction could steal the row in).
-  void DowngradeLock(TxId tx, const std::string& ekey);
   void ReleaseLock(TxId tx, const std::string& ekey);
   // True if `tx` already holds a lock at least as strong as `mode`.
   bool Holds(TxId tx, const std::string& ekey, LockMode mode) const;

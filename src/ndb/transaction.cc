@@ -8,7 +8,6 @@
 #include <tuple>
 
 #include "ndb/cluster.h"
-#include "ndb/mux.h"
 
 namespace hops::ndb {
 
@@ -490,96 +489,8 @@ std::vector<bool> Transaction::ComputeWindowPays(
   return pays;
 }
 
-hops::Status Transaction::RunWindowData(std::vector<InFlightBatch>& flight,
-                                        const std::vector<bool>& pays,
-                                        std::vector<Access>& accesses, size_t* sync_equiv,
-                                        size_t* read_members) {
-  // Each member's data work, in preparation order -- later batches observe
-  // earlier members' staged writes (read-your-writes across the pipeline).
-  // The first failure stops the window; members behind it report kTxAborted
-  // (their work never ran).
-  *sync_equiv = 0;
-  *read_members = 0;
-  hops::Status first_error;
-  for (size_t i = 0; i < flight.size(); ++i) {
-    hops::Status st;
-    if (flight[i].read != nullptr) {
-      (*read_members)++;
-      st = RunReadBatchData(*flight[i].read, accesses);
-    } else {
-      st = RunWriteBatchData(*flight[i].write, accesses);
-    }
-    batch_results_[flight[i].seq] = st;
-    if (pays[i]) (*sync_equiv)++;
-    if (!st.ok()) {
-      first_error = st;
-      if (pipeline_error_.ok()) pipeline_error_ = st;
-      for (size_t j = i + 1; j < flight.size(); ++j) {
-        batch_results_[flight[j].seq] =
-            hops::Status::TxAborted("a preceding batch in the flush window failed");
-      }
-      break;
-    }
-  }
-  return first_error;
-}
-
-bool Transaction::WindowMuxEligible() const {
-  for (const auto& f : in_flight_) {
-    if (f.read != nullptr && (f.read->lock_order() == BatchLockOrder::kStagedOrder ||
-                              f.read->has_locking_scan())) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool Transaction::TryAcquireRowLock(TableId table, uint32_t partition, const std::string& ekey,
-                                    LockMode mode, bool* fresh, bool* upgraded) {
-  *fresh = false;
-  *upgraded = false;
-  if (mode == LockMode::kReadCommitted) return true;
-  auto key = std::make_tuple(table, partition, ekey);
-  auto it = held_locks_.find(key);
-  if (it != held_locks_.end() &&
-      (it->second == LockMode::kExclusive || it->second == mode)) {
-    return true;  // already hold a lock at least this strong
-  }
-  Partition& p = *cluster_->table(table).partitions[partition];
-  if (!p.TryAcquireLock(id_, ekey, mode)) return false;
-  *fresh = it == held_locks_.end();
-  // Not fresh and not covered: a held shared lock was stepped up to
-  // exclusive.
-  *upgraded = !*fresh;
-  held_locks_[key] = mode;
-  return true;
-}
-
-void Transaction::DropRowLock(TableId table, uint32_t partition, const std::string& ekey) {
-  auto it = held_locks_.find(std::make_tuple(table, partition, ekey));
-  if (it == held_locks_.end()) return;
-  cluster_->table(table).partitions[partition]->ReleaseLock(id_, ekey);
-  held_locks_.erase(it);
-}
-
-void Transaction::DowngradeRowLock(TableId table, uint32_t partition, const std::string& ekey) {
-  auto it = held_locks_.find(std::make_tuple(table, partition, ekey));
-  if (it == held_locks_.end()) return;
-  cluster_->table(table).partitions[partition]->DowngradeLock(id_, ekey);
-  it->second = LockMode::kShared;
-}
-
 hops::Status Transaction::FlushPending() {
   if (in_flight_.empty()) return hops::Status::Ok();
-  // A mux-eligible window registers with the cluster's shared completion
-  // loop, where it may merge with other transactions' windows into one
-  // overlapped round trip. Staged-order and locking-scan windows keep the
-  // per-transaction path (their lock waits must happen on this thread), as
-  // do latency-sensitive transactions (their wait in the mux line would
-  // dwarf their own work).
-  if (mux_ != nullptr && !latency_sensitive_ && WindowMuxEligible()) {
-    return mux_->SubmitAndWait(this);
-  }
   std::vector<InFlightBatch> flight = std::move(in_flight_);
   in_flight_.clear();
 
@@ -637,10 +548,33 @@ hops::Status Transaction::FlushPending() {
     return lock_st;
   }
 
-  // Phase 3: the window's data work.
+  // Phase 3: each member's data work, in preparation order -- later batches
+  // observe earlier members' staged writes (read-your-writes across the
+  // pipeline). The first failure stops the window; members behind it report
+  // kTxAborted (their work never ran).
   std::vector<Access> accesses;
   size_t sync_equiv = 0, read_members = 0;
-  hops::Status first_error = RunWindowData(flight, pays, accesses, &sync_equiv, &read_members);
+  hops::Status first_error;
+  for (size_t i = 0; i < flight.size(); ++i) {
+    hops::Status st;
+    if (flight[i].read != nullptr) {
+      read_members++;
+      st = RunReadBatchData(*flight[i].read, accesses);
+    } else {
+      st = RunWriteBatchData(*flight[i].write, accesses);
+    }
+    batch_results_[flight[i].seq] = st;
+    if (pays[i]) sync_equiv++;
+    if (!st.ok()) {
+      first_error = st;
+      if (pipeline_error_.ok()) pipeline_error_ = st;
+      for (size_t j = i + 1; j < flight.size(); ++j) {
+        batch_results_[flight[j].seq] =
+            hops::Status::TxAborted("a preceding batch in the flush window failed");
+      }
+      break;
+    }
+  }
 
   // Accounting: the whole window is ONE overlapped round trip (cost max,
   // not sum, of the member trips). A pure-write window whose locks were all
@@ -906,9 +840,7 @@ hops::Status Transaction::Commit() {
   }
   RecordAccess(AccessKind::kCommit, 0, std::move(touches), commit_round_trips);
 
-  // Release all row locks; deferred mux windows waiting on any of them can
-  // retry immediately.
-  const bool released_locks = !held_locks_.empty();
+  // Release all row locks.
   for (const auto& [lk, mode] : held_locks_) {
     const auto& [table_id, partition, ekey] = lk;
     cluster_->table(table_id).partitions[partition]->ReleaseLock(id_, ekey);
@@ -916,7 +848,6 @@ hops::Status Transaction::Commit() {
   held_locks_.clear();
   write_set_.clear();
   state_ = State::kCommitted;
-  if (released_locks && mux_ != nullptr) mux_->NotifyLocksReleased();
 
   uint64_t commits = cluster_->stats_.commits.fetch_add(1, std::memory_order_relaxed) + 1;
   if (commits % Cluster::kGlobalCheckpointCommits == 0) {
@@ -933,7 +864,6 @@ void Transaction::Abort() {
                            hops::Status::TxAborted("transaction aborted before the batch flushed"));
   }
   in_flight_.clear();
-  const bool released_locks = !held_locks_.empty();
   for (const auto& [lk, mode] : held_locks_) {
     const auto& [table_id, partition, ekey] = lk;
     cluster_->table(table_id).partitions[partition]->ReleaseLock(id_, ekey);
@@ -942,7 +872,6 @@ void Transaction::Abort() {
   write_set_.clear();
   state_ = State::kAborted;
   cluster_->stats_.aborts.fetch_add(1, std::memory_order_relaxed);
-  if (released_locks && mux_ != nullptr) mux_->NotifyLocksReleased();
 }
 
 }  // namespace hops::ndb

@@ -2,6 +2,12 @@
 // failure handling, the replication monitor, and invalidation delivery.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "hopsfs/mini_cluster.h"
 
 namespace hops::fs {
@@ -116,10 +122,11 @@ TEST_F(BlocksTest, BlockReportInvalidatesOrphanBlocks) {
   auto result = cluster_->namenode(0).ProcessBlockReport(dn.id(), dn.GenerateBlockReport());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->orphans_invalidated, 1);
-  auto inv = cluster_->namenode(0).FetchInvalidations(dn.id());
+  auto inv = cluster_->namenode(0).FetchInvalidations({dn.id()});
   ASSERT_TRUE(inv.ok());
   ASSERT_EQ(inv->size(), 1u);
-  EXPECT_EQ((*inv)[0], 424242);
+  ASSERT_EQ(inv->at(dn.id()).size(), 1u);
+  EXPECT_EQ(inv->at(dn.id())[0], 424242);
 }
 
 TEST_F(BlocksTest, BlockReportDetectsLostReplica) {
@@ -209,6 +216,76 @@ TEST_F(BlocksTest, MultiBlockFileKeepsBlockOrder) {
   }
   auto st = client_->Stat("/data/f");
   EXPECT_EQ(st->size, 10 + 20 + 30 + 40);
+}
+
+TEST_F(BlocksTest, HeartbeatTickDeliversInvalidationsToDatanodes) {
+  ASSERT_TRUE(client_->CreateFile("/data/f").ok());
+  auto blk = client_->AddBlock("/data/f", 100);
+  ASSERT_TRUE(blk.ok());
+  ASSERT_TRUE(cluster_->PipelineWrite(*blk).ok());
+  ASSERT_TRUE(client_->CompleteFile("/data/f").ok());
+  ASSERT_TRUE(client_->Delete("/data/f", false).ok());
+  ASSERT_GT(Rows(cluster_->schema().inv), 0u);
+  cluster_->TickHeartbeats();
+  EXPECT_EQ(Rows(cluster_->schema().inv), 0u);
+  for (int i = 0; i < cluster_->num_datanodes(); ++i) {
+    EXPECT_FALSE(cluster_->datanode(i).HasBlock(blk->block_id)) << "datanode " << i;
+  }
+}
+
+TEST(ReplicaTargetTest, ConcurrentAddBlocksGetDistinctTargets) {
+  // Replication 3 over exactly 3 datanodes: every block needs all of them,
+  // so a target picker that hands one call the same datanode twice fails
+  // the write. Each namenode serializes its own picks, so the collisions
+  // this guards against come from several namenodes picking at once.
+  MiniClusterOptions options;
+  options.db.num_datanodes = 4;
+  options.db.replication = 2;
+  options.num_namenodes = 4;
+  options.num_datanodes = 3;
+  auto started = MiniCluster::Start(options);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  MiniCluster& cluster = **started;
+  ASSERT_TRUE(cluster.NewClient(NamenodePolicy::kSticky, "setup").Mkdirs("/t").ok());
+  constexpr int kThreads = 8, kFiles = 150;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Client c = cluster.NewClient(NamenodePolicy::kRoundRobin, "w" + std::to_string(t), 7 + t);
+      for (int i = 0; i < kFiles; ++i) {
+        const std::string path = "/t/f" + std::to_string(t) + "_" + std::to_string(i);
+        if (!c.CreateFile(path).ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        auto blk = c.AddBlock(path, 10);
+        if (!blk.ok() || blk->locations.size() != 3 ||
+            std::set<DatanodeId>(blk->locations.begin(), blk->locations.end()).size() != 3) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  // The picker itself, hammered without the transaction around it, so
+  // concurrent calls overlap far more often than AddBlocks do.
+  std::atomic<int> duplicates{0};
+  threads.clear();
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 20000; ++i) {
+        std::vector<DatanodeId> picked = cluster.PickDatanodes(3);
+        if (std::set<DatanodeId>(picked.begin(), picked.end()).size() != 3) {
+          duplicates.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(duplicates.load(), 0);
 }
 
 TEST_F(BlocksTest, DeleteUnderConstructionFileCleansRuc) {

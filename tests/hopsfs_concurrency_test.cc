@@ -2,8 +2,8 @@
 // serialization of conflicting ops, client failover with zero downtime,
 // database-node failure handling (§7.6), and the handler-pool stress
 // offensive: many concurrent clients funneled through a bounded pool of
-// handler threads sharing the database's completion mux, verified against a
-// single-threaded oracle replay of the same deterministic op scripts.
+// handler threads, verified against a single-threaded oracle replay of the
+// same deterministic op scripts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -421,8 +421,7 @@ TEST(HintInvalidationLogTest, LeaderReapsExpiredRecords) {
 
 class ShardedHintLogTest : public ::testing::Test {
  protected:
-  static std::unique_ptr<MiniCluster> MakeCluster(int num_namenodes, bool publish_async,
-                                                  bool global_seq_lock,
+  static std::unique_ptr<MiniCluster> MakeCluster(int num_namenodes,
                                                   std::chrono::milliseconds ttl =
                                                       std::chrono::milliseconds(600000)) {
     MiniClusterOptions options;
@@ -430,8 +429,6 @@ class ShardedHintLogTest : public ::testing::Test {
     options.db.replication = 2;
     options.num_namenodes = num_namenodes;
     options.num_datanodes = 3;
-    options.fs.hint_publish_async = publish_async;
-    options.fs.hint_global_seq_lock = global_seq_lock;
     options.fs.hint_invalidation_ttl = ttl;
     auto cluster = MiniCluster::Start(options);
     EXPECT_TRUE(cluster.ok()) << cluster.status().ToString();
@@ -443,19 +440,18 @@ class ShardedHintLogTest : public ::testing::Test {
   }
 };
 
-TEST_F(ShardedHintLogTest, PublishNeverTouchesTheLegacyGlobalSeqRow) {
-  // The strongest form of "the global serialization point is gone": a
-  // transaction holds the legacy seq row X-locked for the whole test, and a
-  // publish still completes without a single lock wait.
-  auto cluster = MakeCluster(2, /*publish_async=*/true, /*global_seq_lock=*/false);
+TEST_F(ShardedHintLogTest, PublishNeverTouchesAnotherPublishersHead) {
+  // No global serialization point: a transaction holds another namenode's
+  // head row X-locked for the whole test, and a publish still completes
+  // without a single lock wait.
+  auto cluster = MakeCluster(2);
   Namenode& a = cluster->namenode(0);
+  Namenode& b = cluster->namenode(1);
   ASSERT_TRUE(a.Create("/solo", "c").ok());
   ASSERT_TRUE(a.CompleteFile("/solo", "c").ok());
   auto blocker = cluster->db().Begin();
-  ASSERT_TRUE(blocker
-                  ->Read(cluster->schema().variables, {kVarNextHintInvalidationSeq},
-                         ndb::LockMode::kExclusive)
-                  .ok());
+  // The row may not exist yet; a locked read still guards its key slot.
+  (void)blocker->Read(cluster->schema().hint_heads, {b.id()}, ndb::LockMode::kExclusive);
   cluster->db().ResetStats();
   ASSERT_TRUE(a.Rename("/solo", "/solo2").ok());
   cluster->FlushHintPublishes();
@@ -464,38 +460,12 @@ TEST_F(ShardedHintLogTest, PublishNeverTouchesTheLegacyGlobalSeqRow) {
   EXPECT_EQ(a.hint_publish_events(), 1u);
 }
 
-TEST_F(ShardedHintLogTest, GlobalSeqLockAblationBlocksBehindTheSharedRow) {
-  // The baseline the bench compares against: with hint_global_seq_lock the
-  // publish transaction must wait out a holder of the one shared row.
-  auto cluster = MakeCluster(2, /*publish_async=*/false, /*global_seq_lock=*/true);
-  Namenode& a = cluster->namenode(0);
-  ASSERT_TRUE(a.Create("/held", "c").ok());
-  ASSERT_TRUE(a.CompleteFile("/held", "c").ok());
-  auto blocker = cluster->db().Begin();
-  ASSERT_TRUE(blocker
-                  ->Read(cluster->schema().variables, {kVarNextHintInvalidationSeq},
-                         ndb::LockMode::kExclusive)
-                  .ok());
-  cluster->db().ResetStats();
-  std::thread renamer([&] { ASSERT_TRUE(a.Rename("/held", "/held2").ok()); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  ASSERT_TRUE(blocker->Commit().ok());
-  renamer.join();
-  if (cluster->db().kind() == kv::EngineKind::kNdb) {
-    // Lock waits are a 2PL phenomenon; under OCC the publish proceeds
-    // without blocking and the ablation row costs nothing.
-    EXPECT_GE(cluster->db().StatsSnapshot().lock_waits, 1u)
-        << "the synchronous global-seq publish must have blocked on the row";
-  }
-}
-
 TEST_F(ShardedHintLogTest, ConcurrentPublishersShareNoRows) {
   // N namenodes publishing concurrently over disjoint namespaces: the
   // sharded log keeps every publish on its own (head, record) rows, so the
   // whole run completes with ZERO lock waits anywhere in the database.
   constexpr int kNamenodes = 3, kRenames = 12;
-  auto cluster = MakeCluster(kNamenodes, /*publish_async=*/false,
-                             /*global_seq_lock=*/false);
+  auto cluster = MakeCluster(kNamenodes);
   for (int t = 0; t < kNamenodes; ++t) {
     Namenode& nn = cluster->namenode(t);
     const std::string base = "/pub" + std::to_string(t);
@@ -519,15 +489,17 @@ TEST_F(ShardedHintLogTest, ConcurrentPublishersShareNoRows) {
     });
   }
   pool.Wait();
+  cluster->FlushHintPublishes();
   auto stats = cluster->db().StatsSnapshot();
   EXPECT_EQ(stats.lock_waits, 0u) << "no publisher ever waited on another's rows";
   auto hint = cluster->AggregateHintStats();
-  EXPECT_EQ(hint.publish_events, static_cast<uint64_t>(kNamenodes * kRenames))
-      << "synchronous publishes append one record each";
+  EXPECT_EQ(hint.publish_events + hint.publish_ops_coalesced,
+            static_cast<uint64_t>(kNamenodes * kRenames))
+      << "every rename's publish lands in exactly one record";
 }
 
 TEST_F(ShardedHintLogTest, LeaderGcReapsByAcksLongBeforeTheTtl) {
-  auto cluster = MakeCluster(3, /*publish_async=*/true, /*global_seq_lock=*/false);
+  auto cluster = MakeCluster(3);
   Namenode& a = cluster->namenode(0);
   ASSERT_TRUE(a.Create("/acked", "c").ok());
   ASSERT_TRUE(a.CompleteFile("/acked", "c").ok());
@@ -546,7 +518,7 @@ TEST_F(ShardedHintLogTest, LeaderGcReapsByAcksLongBeforeTheTtl) {
 }
 
 TEST_F(ShardedHintLogTest, DeadDrainerStopsPinningTheLogOnceDeclaredDead) {
-  auto cluster = MakeCluster(3, /*publish_async=*/true, /*global_seq_lock=*/false);
+  auto cluster = MakeCluster(3);
   Namenode& a = cluster->namenode(0);
   // Kill one drainer BEFORE the publish: it will never ack this record.
   cluster->KillNamenode(2);
@@ -569,7 +541,7 @@ TEST_F(ShardedHintLogTest, DeadDrainerStopsPinningTheLogOnceDeclaredDead) {
 }
 
 TEST_F(ShardedHintLogTest, DeadPublisherRowsAreDrainedThenFullyCleaned) {
-  auto cluster = MakeCluster(3, /*publish_async=*/true, /*global_seq_lock=*/false);
+  auto cluster = MakeCluster(3);
   Namenode& a = cluster->namenode(0);
   Namenode& b = cluster->namenode(1);
   ASSERT_TRUE(a.Mkdirs("/doomed/sub").ok());
@@ -597,7 +569,7 @@ TEST_F(ShardedHintLogTest, OrphanHeadRowsAreSweptAfterAGraceWindow) {
   // behind: a head row (and acks) whose owner has no leader row. The GC
   // re-derives its cleanup list every pass, so the rows are buried once the
   // orphan outlives the grace window -- not leaked forever.
-  auto cluster = MakeCluster(2, /*publish_async=*/true, /*global_seq_lock=*/false);
+  auto cluster = MakeCluster(2);
   {
     auto tx = cluster->db().Begin();
     ASSERT_TRUE(
@@ -619,7 +591,7 @@ TEST_F(ShardedHintLogTest, OrphanHeadRowsAreSweptAfterAGraceWindow) {
 }
 
 TEST_F(ShardedHintLogTest, PausedPublisherCoalescesQueuedOpsIntoOneRecord) {
-  auto cluster = MakeCluster(2, /*publish_async=*/true, /*global_seq_lock=*/false);
+  auto cluster = MakeCluster(2);
   Namenode& a = cluster->namenode(0);
   for (const char* f : {"/co1", "/co2", "/co3"}) {
     ASSERT_TRUE(a.Create(f, "c").ok());
@@ -653,7 +625,7 @@ TEST_F(ShardedHintLogTest, DrainWalksEveryPublisherPartitionByRange) {
   // Interleaved multi-record ranges from two publishers, drained by a third
   // in one tick: the per-publisher applied vector must advance across the
   // re-keyed (nn, seq) ranges without skipping or re-applying.
-  auto cluster = MakeCluster(3, /*publish_async=*/true, /*global_seq_lock=*/false);
+  auto cluster = MakeCluster(3);
   Namenode& a = cluster->namenode(0);
   Namenode& b = cluster->namenode(1);
   Namenode& c = cluster->namenode(2);
@@ -687,18 +659,16 @@ TEST_F(ShardedHintLogTest, DrainWalksEveryPublisherPartitionByRange) {
 
 // ---------------------------------------------------------------------------
 // Handler-pool stress offensive: concurrent clients through a bounded
-// handler pool + completion mux, verified against a single-threaded oracle.
+// handler pool, verified against a single-threaded oracle.
 // ---------------------------------------------------------------------------
 
 class HandlerPoolTest : public ::testing::Test {
  protected:
-  static std::unique_ptr<MiniCluster> MakeCluster(int num_handlers, bool use_mux,
-                                                  int num_namenodes) {
+  static std::unique_ptr<MiniCluster> MakeCluster(int num_handlers, int num_namenodes) {
     MiniClusterOptions options;
     options.db.num_datanodes = 4;
     options.db.replication = 2;
     options.db.lock_wait_timeout = std::chrono::milliseconds(500);
-    options.db.use_completion_mux = use_mux;
     options.fs.num_handlers = num_handlers;
     options.num_namenodes = num_namenodes;
     options.num_datanodes = 3;
@@ -786,9 +756,8 @@ TEST_F(HandlerPoolTest, StressedPoolMatchesSingleThreadedOracleReplay) {
   constexpr int kWorkers = 6;
   constexpr int kOps = 40;
 
-  // Stressed run: 6 concurrent clients behind 3 handlers per namenode, all
-  // transactions sharing the completion mux.
-  auto stressed = MakeCluster(/*num_handlers=*/3, /*use_mux=*/true, /*num_namenodes=*/2);
+  // Stressed run: 6 concurrent clients behind 3 handlers per namenode.
+  auto stressed = MakeCluster(/*num_handlers=*/3, /*num_namenodes=*/2);
   {
     Client setup = stressed->NewClient(NamenodePolicy::kRoundRobin, "setup");
     ASSERT_TRUE(setup.Mkdirs("/stress").ok());
@@ -805,21 +774,17 @@ TEST_F(HandlerPoolTest, StressedPoolMatchesSingleThreadedOracleReplay) {
     }
     for (auto& t : threads) t.join();
   }
-  // The pool really served the requests (and merged windows across
-  // transactions at least once under 6-way concurrency).
+  // The pool really served the requests.
   uint64_t served = 0;
   for (int i = 0; i < stressed->num_namenodes(); ++i) {
     ASSERT_NE(stressed->namenode(i).handler_pool(), nullptr);
     served += stressed->namenode(i).handler_pool()->requests_served();
   }
   EXPECT_GT(served, 0u);
-  if (stressed->db().kind() == kv::EngineKind::kNdb) {
-    EXPECT_GT(stressed->db().StatsSnapshot().mux_windows, 0u);
-  }
 
   // Oracle: the same scripts replayed one worker at a time on an inline
-  // (no pool, no mux) cluster.
-  auto oracle = MakeCluster(/*num_handlers=*/0, /*use_mux=*/false, /*num_namenodes=*/1);
+  // (no pool) cluster.
+  auto oracle = MakeCluster(/*num_handlers=*/0, /*num_namenodes=*/1);
   {
     Client setup = oracle->NewClient(NamenodePolicy::kSticky, "setup");
     ASSERT_TRUE(setup.Mkdirs("/stress").ok());
@@ -841,7 +806,7 @@ TEST_F(HandlerPoolTest, StressedPoolMatchesSingleThreadedOracleReplay) {
 }
 
 TEST_F(HandlerPoolTest, ManyMoreClientsThanHandlersAllSucceed) {
-  auto cluster = MakeCluster(/*num_handlers=*/2, /*use_mux=*/true, /*num_namenodes=*/1);
+  auto cluster = MakeCluster(/*num_handlers=*/2, /*num_namenodes=*/1);
   {
     Client setup = cluster->NewClient(NamenodePolicy::kSticky, "setup");
     ASSERT_TRUE(setup.Mkdirs("/q").ok());
@@ -879,7 +844,7 @@ TEST_F(HandlerPoolTest, SubtreeWaitersDoNotStarveTheSubtreeOperation) {
   // Backoff sleeps now happen on the caller's thread, so waiters drain from
   // the pool, the subtree delete progresses, and the waiters' retries
   // succeed once the lock clears.
-  auto cluster = MakeCluster(/*num_handlers=*/2, /*use_mux=*/true, /*num_namenodes=*/1);
+  auto cluster = MakeCluster(/*num_handlers=*/2, /*num_namenodes=*/1);
   Client setup = cluster->NewClient(NamenodePolicy::kSticky, "setup");
   ASSERT_TRUE(setup.Mkdirs("/d/sub").ok());
   for (int i = 0; i < 60; ++i) {
@@ -911,8 +876,8 @@ TEST_F(HandlerPoolTest, SubtreeWaitersDoNotStarveTheSubtreeOperation) {
 
 TEST_F(HandlerPoolTest, ConflictingClientsThroughThePoolKeepInvariants) {
   // Cross-thread conflicts (same directory, crossing renames) through the
-  // pool + mux: outcomes are racy but the namespace invariants are not.
-  auto cluster = MakeCluster(/*num_handlers=*/3, /*use_mux=*/true, /*num_namenodes=*/2);
+  // pool: outcomes are racy but the namespace invariants are not.
+  auto cluster = MakeCluster(/*num_handlers=*/3, /*num_namenodes=*/2);
   Client setup = cluster->NewClient(NamenodePolicy::kRoundRobin, "setup");
   ASSERT_TRUE(setup.Mkdirs("/war/a").ok());
   ASSERT_TRUE(setup.Mkdirs("/war/b").ok());

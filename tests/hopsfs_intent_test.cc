@@ -270,5 +270,36 @@ TEST_F(IntentLogTest, SyncModeNeverTouchesTheLog) {
   EXPECT_EQ(stats.log.acked_ops, 0u);
 }
 
+TEST_F(IntentLogTest, CoveringWaitTimeoutIsCounted) {
+  // A wedged applier must not hang readers forever, but a reader that gives
+  // up and reads committed state must leave a trace.
+  MiniClusterOptions options;
+  options.db.num_datanodes = 4;
+  options.db.replication = 2;
+  options.fs.async_metadata_commit = true;
+  options.fs.intent_wait_timeout = std::chrono::milliseconds(50);
+  options.num_namenodes = 1;
+  auto cluster = MiniCluster::Start(options);
+  ASSERT_TRUE(cluster.ok());
+  Namenode& nn = (*cluster)->namenode(0);
+  ASSERT_TRUE(nn.Mkdirs("/w").ok());
+  nn.FlushIntents();
+  EXPECT_EQ(nn.intent_stats().covering_wait_timeouts, 0u);
+
+  nn.SetIntentApplierPausedForTesting(true);
+  ASSERT_TRUE(nn.Create("/w/f", "writer").ok());
+  // The covering intent never applies within the timeout: the stat goes on
+  // against committed state, where the acknowledged file is not yet visible.
+  EXPECT_EQ(nn.GetFileInfo("/w/f").status().code(), hops::StatusCode::kNotFound);
+  EXPECT_EQ(nn.intent_stats().covering_wait_timeouts, 1u);
+
+  nn.SetIntentApplierPausedForTesting(false);
+  nn.FlushIntents();
+  EXPECT_TRUE(nn.GetFileInfo("/w/f").ok());
+  IntentLogStats stats = nn.intent_stats();
+  EXPECT_EQ(stats.covering_wait_timeouts, 1u) << "a wait that ends in time is not a timeout";
+  EXPECT_EQ((*cluster)->AggregateIntentStats().log.covering_wait_timeouts, 1u);
+}
+
 }  // namespace
 }  // namespace hops::fs

@@ -98,12 +98,6 @@ TEST(MiniClusterValidationTest, RejectsNonsenseFsKnobs) {
   MiniClusterOptions o3;
   o3.db.max_in_flight_batches = 0;
   ExpectStartRejects(o3, "db.max_in_flight_batches");
-
-  MiniClusterOptions o4;
-  o4.db.use_completion_mux = false;
-  o4.db.mux_adaptive_gather = true;
-  o4.db.mux_adaptive_gather_auto = false;
-  ExpectStartRejects(o4, "mux_adaptive_gather");
 }
 
 TEST(MiniClusterValidationTest, DefaultsStartAndRecordTheResolvedEngine) {
@@ -358,6 +352,9 @@ TEST(OccNamenodeTest, IntentLogAppendRacesLoseNoAcks) {
   ASSERT_NE(cluster, nullptr);
   auto setup = cluster->NewClient(fs::NamenodePolicy::kRoundRobin, "setup");
   ASSERT_TRUE(setup.Mkdirs("/async").ok());
+  // Read-your-writes holds per namenode only: the setup mkdir must apply
+  // before workers on the other namenodes create under it.
+  cluster->DrainIntents();
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 20;

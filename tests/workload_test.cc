@@ -189,18 +189,17 @@ TEST_F(WorkloadClusterTest, DriverRunsOnHdfsBaseline) {
 }
 
 // Deterministic-seed stress mode: the closed-loop driver pushed through a
-// namenode handler pool sharing the completion mux, under a fixed RNG seed.
-// Two runs on identical clusters must sample the identical op stream (the
-// per-op counts fingerprint) and complete without a single failure, however
-// the mux interleaves the concurrent transactions' windows.
-TEST(WorkloadStressTest, DriverDeterministicSeedStressThroughHandlerPoolAndMux) {
+// namenode handler pool, under a fixed RNG seed. Two runs on identical
+// clusters must sample the identical op stream (the per-op counts
+// fingerprint) and complete without a single failure, however the handlers
+// interleave the concurrent transactions.
+TEST(WorkloadStressTest, DriverDeterministicSeedStressThroughHandlerPool) {
   constexpr uint64_t kSeed = 77;
   auto run_once = [&] {
     hops::fs::MiniClusterOptions options;
     options.db.num_datanodes = 4;
     options.db.replication = 2;
     options.db.lock_wait_timeout = std::chrono::milliseconds(500);
-    options.db.use_completion_mux = true;
     options.fs.num_handlers = 4;
     options.num_namenodes = 2;
     options.num_datanodes = 3;
@@ -219,18 +218,13 @@ TEST(WorkloadStressTest, DriverDeterministicSeedStressThroughHandlerPoolAndMux) 
                                                     "st" + std::to_string(t), 50 + t));
         },
         ns, OpMix::Spotify(), opts);
-    // The multiplexed path really ran: handler pools served the requests and
-    // the mux flushed windows.
+    // The handler pools really served the requests.
     uint64_t served = 0;
     for (int i = 0; i < cluster->num_namenodes(); ++i) {
       served += cluster->namenode(i).handler_pool()->requests_served();
     }
     EXPECT_GT(served, 0u);
-    auto stats = cluster->db().StatsSnapshot();
-    if (cluster->db().kind() == hops::kv::EngineKind::kNdb) {
-      EXPECT_GT(stats.mux_windows, 0u);
-    }
-    EXPECT_EQ(stats.lock_timeouts, 0u);
+    EXPECT_EQ(cluster->db().StatsSnapshot().lock_timeouts, 0u);
     return report;
   };
 
